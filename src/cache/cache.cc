@@ -26,16 +26,10 @@ Cache::Cache(const CacheParams &params, energy::EnergyModel *energy,
     }
 }
 
-bool
-Cache::contains(Addr addr) const
-{
-    return locate(addr).has_value();
-}
-
 Mesi
 Cache::state(Addr addr) const
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return Mesi::Invalid;
     return tags_.line(loc->set, loc->way).state;
@@ -44,7 +38,7 @@ Cache::state(Addr addr) const
 void
 Cache::setState(Addr addr, Mesi state)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     CC_ASSERT(loc, "setState on absent line 0x", std::hex, addr);
     tags_.line(loc->set, loc->way).state = state;
 }
@@ -70,7 +64,7 @@ Cache::chargeWrite()
 bool
 Cache::read(Addr addr, Block &out)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return false;
     tags_.touch(loc->set, loc->way);
@@ -82,7 +76,7 @@ Cache::read(Addr addr, Block &out)
 bool
 Cache::write(Addr addr, const Block &data, bool set_dirty)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return false;
     tags_.touch(loc->set, loc->way);
@@ -145,7 +139,7 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
 std::optional<Eviction>
 Cache::invalidate(Addr addr)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return std::nullopt;
     Line &line = tags_.line(loc->set, loc->way);
@@ -165,7 +159,7 @@ Cache::invalidate(Addr addr)
 bool
 Cache::pin(Addr addr)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return false;
     tags_.line(loc->set, loc->way).pinned = true;
@@ -175,28 +169,28 @@ Cache::pin(Addr addr)
 void
 Cache::unpin(Addr addr)
 {
-    if (auto loc = locate(addr))
+    if (auto loc = find(addr))
         tags_.line(loc->set, loc->way).pinned = false;
 }
 
 bool
 Cache::isPinned(Addr addr) const
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     return loc && tags_.line(loc->set, loc->way).pinned;
 }
 
 void
 Cache::promoteMRU(Addr addr)
 {
-    if (auto loc = locate(addr))
+    if (auto loc = find(addr))
         tags_.touch(loc->set, loc->way);
 }
 
 void
 Cache::markDirty(Addr addr)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     CC_ASSERT(loc, "markDirty on absent line 0x", std::hex, addr);
     Line &l = tags_.line(loc->set, loc->way);
     l.dirty = true;
@@ -206,21 +200,21 @@ Cache::markDirty(Addr addr)
 bool
 Cache::isDirty(Addr addr) const
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     return loc && tags_.line(loc->set, loc->way).dirty;
 }
 
 void
 Cache::clearDirty(Addr addr)
 {
-    if (auto loc = locate(addr))
+    if (auto loc = find(addr))
         tags_.line(loc->set, loc->way).dirty = false;
 }
 
 const Block *
 Cache::dirtyPeek(Addr addr) const
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc || !tags_.line(loc->set, loc->way).dirty)
         return nullptr;
     return &data_[dataIndex(loc->set, loc->way)];
@@ -229,7 +223,7 @@ Cache::dirtyPeek(Addr addr) const
 const Block *
 Cache::peek(Addr addr) const
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return nullptr;
     return &data_[dataIndex(loc->set, loc->way)];
@@ -238,7 +232,7 @@ Cache::peek(Addr addr) const
 bool
 Cache::poke(Addr addr, const Block &data)
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return false;
     data_[dataIndex(loc->set, loc->way)] = data;
@@ -271,7 +265,7 @@ Cache::forEachLine(
 std::optional<geometry::BlockPlace>
 Cache::placeOf(Addr addr) const
 {
-    auto loc = locate(addr);
+    auto loc = find(addr);
     if (!loc)
         return std::nullopt;
     return geom_.place(loc->set, loc->way);

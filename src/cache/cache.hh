@@ -61,8 +61,39 @@ class Cache
     CacheLevel level() const { return params_.level; }
     Cycles latency() const { return params_.accessLatency; }
 
+    /** Handle to a resident line: its (set, way). A slot stays right
+     *  only while that line stays put, so every use must be preceded by
+     *  holds(); the slot overloads below assume that check passed. */
+    struct Slot
+    {
+        std::size_t set = ~std::size_t{0};
+        std::size_t way = 0;
+    };
+
+    /** Locate a resident line with one tag scan; nullopt on a miss. No
+     *  LRU update or energy charge. */
+    std::optional<Slot> find(Addr addr) const
+    {
+        auto f = geom_.decode(addr);
+        Lookup l = tags_.lookup(f.set, f.tag);
+        if (!l.hit)
+            return std::nullopt;
+        return Slot{f.set, l.way};
+    }
+
+    /** O(1): true iff @p slot holds a valid line whose address is
+     *  @p addr (a default-constructed slot holds nothing). */
+    bool holds(Slot slot, Addr addr) const
+    {
+        auto f = geom_.decode(addr);
+        if (slot.set != f.set)
+            return false;
+        const Line &l = tags_.line(slot.set, slot.way);
+        return l.valid() && l.tag == f.tag;
+    }
+
     /** Tag probe without LRU update or energy charge. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return find(addr).has_value(); }
 
     /** State of @p addr, Invalid if absent. */
     Mesi state(Addr addr) const;
@@ -107,6 +138,32 @@ class Cache
     /** Mark a resident line dirty (after an in-place CC write). */
     void markDirty(Addr addr);
 
+    /** Slot forms of the accessors above, for a line already located
+     *  by find() and confirmed by holds(): no tag scan. @{ */
+    Mesi state(Slot s) const { return tags_.line(s.set, s.way).state; }
+    void pin(Slot s) { tags_.line(s.set, s.way).pinned = true; }
+    void unpin(Slot s) { tags_.line(s.set, s.way).pinned = false; }
+    void promoteMRU(Slot s) { tags_.touch(s.set, s.way); }
+    void markDirty(Slot s)
+    {
+        Line &l = tags_.line(s.set, s.way);
+        l.dirty = true;
+        l.state = Mesi::Modified;
+    }
+    const Block *peek(Slot s) const
+    {
+        return &data_[dataIndex(s.set, s.way)];
+    }
+    void poke(Slot s, const Block &data)
+    {
+        data_[dataIndex(s.set, s.way)] = data;
+    }
+    geometry::BlockPlace placeOf(Slot s) const
+    {
+        return geom_.place(s.set, s.way);
+    }
+    /** @} */
+
     /** True iff @p addr is resident and holds dirty data. */
     bool isDirty(Addr addr) const;
 
@@ -146,24 +203,6 @@ class Cache
     std::size_t dataIndex(std::size_t set, std::size_t way) const
     {
         return set * params_.geometry.ways + way;
-    }
-
-    /** A resident line located by one address decode. */
-    struct Located
-    {
-        std::size_t set;
-        std::size_t way;
-    };
-
-    /** Locate a resident line with a single geometry decode; every public
-     *  entry point reuses the returned set instead of re-decoding. */
-    std::optional<Located> locate(Addr addr) const
-    {
-        auto f = geom_.decode(addr);
-        Lookup l = tags_.lookup(f.set, f.tag);
-        if (!l.hit)
-            return std::nullopt;
-        return Located{f.set, l.way};
     }
 
     void chargeRead();

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <unordered_map>
 
 #include "common/bit_util.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "verify/coherence_checker.hh"
 #include "verify/watchdog.hh"
 
@@ -26,7 +28,8 @@ toString(ServedBy s)
 Hierarchy::Hierarchy(const HierarchyParams &params,
                      energy::EnergyModel *energy, StatRegistry *stats)
     : params_(params), energy_(energy), stats_(stats),
-      memory_(params.memory), ring_(params.ring, energy, stats)
+      memory_(params.memory), ring_(params.ring, energy, stats),
+      pageSlots_(256)
 {
     if (params_.cores == 0)
         CC_FATAL("hierarchy needs at least one core");
@@ -108,22 +111,46 @@ Hierarchy::mapPage(Addr addr, unsigned slice)
     if (slice >= l3_.size())
         CC_FATAL("mapPage slice ", slice, " out of range (", l3_.size(),
                  " slices)");
-    pageSlice_[alignDown(addr, kPageSize)] = slice;
-    lastPage_ = ~Addr{0};   // drop the sliceFor memo: it may now be stale
+    Addr page = alignDown(addr, kPageSize);
+    PageSlot &s = pageSlots_[pageIndex(page)];
+    if (s.slice != kUnmapped)
+        s.slice = slice;
+    else
+        insertPage(page, slice);
+}
+
+std::size_t
+Hierarchy::pageIndex(Addr page) const
+{
+    std::size_t mask = pageSlots_.size() - 1;
+    std::size_t i = mix64(page) & mask;
+    while (pageSlots_[i].slice != kUnmapped && pageSlots_[i].page != page)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+Hierarchy::insertPage(Addr page, unsigned slice)
+{
+    if ((pagesMapped_ + 1) * 4 > pageSlots_.size() * 3) {
+        std::vector<PageSlot> old = std::move(pageSlots_);
+        pageSlots_.assign(old.size() * 2, PageSlot{});
+        for (const PageSlot &p : old) {
+            if (p.slice != kUnmapped)
+                pageSlots_[pageIndex(p.page)] = p;
+        }
+    }
+    pageSlots_[pageIndex(page)] = PageSlot{page, slice};
+    ++pagesMapped_;
 }
 
 std::optional<unsigned>
 Hierarchy::homeSliceIfMapped(Addr addr) const
 {
-    Addr page = alignDown(addr, kPageSize);
-    if (page == lastPage_)
-        return lastSlice_;
-    auto it = pageSlice_.find(page);
-    if (it == pageSlice_.end())
+    const PageSlot &s = pageSlots_[pageIndex(alignDown(addr, kPageSize))];
+    if (s.slice == kUnmapped)
         return std::nullopt;
-    lastPage_ = page;
-    lastSlice_ = it->second;
-    return it->second;
+    return s.slice;
 }
 
 void
@@ -139,20 +166,13 @@ unsigned
 Hierarchy::sliceFor(CoreId core, Addr addr)
 {
     Addr page = alignDown(addr, kPageSize);
-    if (page == lastPage_)
-        return lastSlice_;
-    auto it = pageSlice_.find(page);
-    if (it != pageSlice_.end()) {
-        lastPage_ = page;
-        lastSlice_ = it->second;
-        return it->second;
-    }
+    const PageSlot &s = pageSlots_[pageIndex(page)];
+    if (s.slice != kUnmapped)
+        return s.slice;
     // First touch: the page lands on the accessing core's local slice
     // (Section IV-C assumption).
     unsigned slice = stopOf(core);
-    pageSlice_.emplace(page, slice);
-    lastPage_ = page;
-    lastSlice_ = slice;
+    insertPage(page, slice);
     return slice;
 }
 
@@ -205,19 +225,23 @@ Hierarchy::l3Eviction(unsigned slice, const Eviction &victim)
     Block data = victim.data;
     bool dirty = victim.dirty;
 
-    // Inclusive LLC: every private copy must be recalled.
+    // Inclusive LLC: every private copy must be recalled. A dirty
+    // private copy is newer than the L3 line; within a core, a dirty L1
+    // copy is newer than a dirty L2 one.
     DirEntry e = directory(slice).entry(victim.addr);
     for (unsigned c = 0; c < params_.cores; ++c) {
         if (!(e.sharers & (1u << c)))
             continue;
+        bool l1_dirty = false;
         if (auto ev1 = l1(c).invalidate(victim.addr)) {
             if (ev1->dirty) {
                 data = ev1->data;
                 dirty = true;
+                l1_dirty = true;
             }
         }
         if (auto ev2 = l2(c).invalidate(victim.addr)) {
-            if (ev2->dirty && !dirty) {
+            if (ev2->dirty && !l1_dirty) {
                 data = ev2->data;
                 dirty = true;
             }
@@ -423,12 +447,13 @@ Hierarchy::write(CoreId core, Addr addr, const Block *data,
 
 Cycles
 Hierarchy::fetchToLevel(CoreId core, Addr addr, CacheLevel level,
-                        bool exclusive, bool for_overwrite)
+                        bool exclusive, bool for_overwrite,
+                        Cache::Slot *found)
 {
     if (watchdog_)
         watchdog_->beginTransaction("fetch", addr);
-    Cycles latency =
-        fetchToLevelImpl(core, addr, level, exclusive, for_overwrite);
+    Cycles latency = fetchToLevelImpl(core, addr, level, exclusive,
+                                      for_overwrite, found);
     if (checker_)
         checker_->onTransaction(addr);
     return latency;
@@ -666,7 +691,8 @@ Hierarchy::storeBytes(CoreId core, Addr addr, const void *data,
 
 Cycles
 Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
-                            bool exclusive, bool for_overwrite)
+                            bool exclusive, bool for_overwrite,
+                            Cache::Slot *found)
 {
     addr = alignDown(addr, kBlockSize);
 
@@ -676,9 +702,11 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
         // compute senses the bit-cells directly, so no extra port access
         // is charged.
         Cache &target = level == CacheLevel::L1 ? l1(core) : l2(core);
-        if (target.contains(addr) &&
-            (!exclusive || writable(target.state(addr)))) {
-            target.promoteMRU(addr);
+        auto slot = target.find(addr);
+        if (slot && (!exclusive || writable(target.state(*slot)))) {
+            target.promoteMRU(*slot);
+            if (found)
+                *found = *slot;
             return 0;
         }
 
@@ -697,7 +725,7 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
     // Fast path: already resident with nothing to recall or invalidate.
     // The per-block residence check is part of the CC command issue the
     // controller models, so it costs no separate hierarchy transaction.
-    if (l3Slice(slice).contains(addr)) {
+    if (auto slot = l3Slice(slice).find(addr)) {
         DirEntry quick = directory(slice).entry(addr);
         bool needs_action = false;
         for (unsigned c = 0; c < params_.cores && !needs_action; ++c) {
@@ -709,8 +737,11 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
                 needs_action = l1(c).isDirty(addr) || l2(c).isDirty(addr);
             }
         }
-        if (!needs_action)
+        if (!needs_action) {
+            if (found)
+                *found = *slot;
             return 0;
+        }
     }
 
     Cycles latency =

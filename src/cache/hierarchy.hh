@@ -19,9 +19,9 @@
 #ifndef CCACHE_CACHE_HIERARCHY_HH
 #define CCACHE_CACHE_HIERARCHY_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -146,12 +146,16 @@ class Hierarchy
      * (and invalidated if @p exclusive); the block is fetched from below
      * if absent. With @p for_overwrite, an L3 miss allocates the line
      * without reading memory — the Figure 6 optimization for operands
-     * that will be overwritten entirely.
+     * that will be overwritten entirely. When the block was already
+     * staged, @p found (if given) receives its slot in
+     * cacheAt(level, core, addr), saving the caller a second tag scan;
+     * otherwise @p found is left as it was.
      *
      * @return total latency of the staging.
      */
     Cycles fetchToLevel(CoreId core, Addr addr, CacheLevel level,
-                        bool exclusive, bool for_overwrite = false);
+                        bool exclusive, bool for_overwrite = false,
+                        Cache::Slot *found = nullptr);
 
     /** The cache that holds @p addr at @p level for @p core. */
     Cache &cacheAt(CacheLevel level, CoreId core, Addr addr);
@@ -181,7 +185,8 @@ class Hierarchy
     AccessResult writeImpl(CoreId core, Addr addr, const Block *data,
                            CacheLevel fill_to);
     Cycles fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
-                            bool exclusive, bool for_overwrite);
+                            bool exclusive, bool for_overwrite,
+                            Cache::Slot *found);
     /** @} */
 
     /** Ring stop of a core (cores and slices share stops). */
@@ -233,14 +238,30 @@ class Hierarchy
     std::vector<std::unique_ptr<Directory>> dir_;
     mem::Memory memory_;
     noc::Ring ring_;
-    std::unordered_map<Addr, unsigned> pageSlice_;
-    /** One-entry memo over pageSlice_: accesses stream through a page
-     *  (64 blocks), so the last-page hit rate is high enough to skip
-     *  most hash probes on the sliceFor / homeSliceIfMapped hot paths
-     *  (DESIGN.md §13). Only mapped pages are memoized; invalidated by
-     *  mapPage. Mutable: homeSliceIfMapped is logically const. @{ */
-    mutable Addr lastPage_ = ~Addr{0};
-    mutable unsigned lastSlice_ = 0;
+    /**
+     * NUCA page map (page address -> home slice) as a flat open-
+     * addressing table: mix64 hash, linear probing, power-of-two
+     * capacity grown at 75% load — the shape of PartitionClock and
+     * Directory. Every access finds its home slice here, so it must
+     * not chase heap nodes. Pages are never unmapped, so entries are
+     * never erased (DESIGN.md §13.4). @{
+     */
+    struct PageSlot
+    {
+        Addr page = 0;
+        std::uint32_t slice = kUnmapped;   ///< kUnmapped: empty slot
+    };
+    static constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+
+    /** Slot of @p page, or the empty slot where it would go. */
+    std::size_t pageIndex(Addr page) const;
+
+    /** Map the unmapped @p page to @p slice, growing the table first
+     *  if that would pass 75% load. */
+    void insertPage(Addr page, unsigned slice);
+
+    std::vector<PageSlot> pageSlots_;
+    std::size_t pagesMapped_ = 0;
     /** @} */
 
     /** Counters pre-registered under "hier." so the transaction hot

@@ -86,6 +86,31 @@ CcController::ScheduleState::reset(unsigned power_cap)
     fetchLats.clear();
 }
 
+void
+CcController::ScheduleState::holdPowerSlot(Cycles free_at)
+{
+    // The top's key only grows, so one sift-down restores the heap.
+    // Keys are unique (slot indices differ), so the top is always the
+    // same slot whichever way the heap is arranged.
+    auto less = [](const std::pair<Cycles, std::uint32_t> &a,
+                   const std::pair<Cycles, std::uint32_t> &b) {
+        return a.first < b.first ||
+            (a.first == b.first && a.second < b.second);
+    };
+    std::pair<Cycles, std::uint32_t> top{free_at, powerSlots[0].second};
+    std::size_t n = powerSlots.size();
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && less(powerSlots[c + 1], powerSlots[c]))
+            ++c;
+        if (!less(powerSlots[c], top))
+            break;
+        powerSlots[i] = powerSlots[c];
+        i = c;
+    }
+    powerSlots[i] = top;
+}
+
 namespace {
 
 /** Overlap a set of staging latencies MLP-deep: the longest miss
@@ -342,23 +367,34 @@ CcController::traceFault(const char *name, Addr addr, CacheLevel level)
                     std::move(args));
 }
 
-std::optional<Cycles>
+std::optional<CcController::StagedOperand>
 CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
                            bool exclusive, bool for_overwrite)
 {
-    Cycles latency = 0;
+    // The operand's cache is fixed for the whole instruction: the
+    // core's L1/L2, or the page's home slice (sliceFor binds an
+    // untouched page to this core exactly as fetchToLevel would).
+    StagedOperand staged;
+    staged.addr = addr;
+    staged.cacheIndex = level == CacheLevel::L3
+        ? hier_.sliceFor(core, addr)
+        : core;
+    Cache &cache = level == CacheLevel::L3
+        ? hier_.l3Slice(staged.cacheIndex)
+        : hier_.cacheAt(level, core, addr);
+    staged.cache = &cache;
     for (unsigned attempt = 0; attempt <= params_.maxLockRetries;
          ++attempt) {
-        latency += hier_.fetchToLevel(core, addr, level, exclusive,
-                                      for_overwrite);
-        Cache &cache = hier_.cacheAt(level, core, addr);
-        if (cache.contains(addr)) {
+        staged.latency += hier_.fetchToLevel(core, addr, level, exclusive,
+                                             for_overwrite, &staged.slot);
+        if (auto resident = locateStaged(staged)) {
             // Pin + promote to MRU so the operand survives until issue
             // (Section IV-E).
-            cache.pin(addr);
-            cache.promoteMRU(addr);
+            cache.pin(*resident);
+            cache.promoteMRU(*resident);
             faults_.noteResident(addr);
-            return latency;
+            staged.slot = *resident;
+            return staged;
         }
         if (stats_)
             lockRetriesStat_->inc();
@@ -368,34 +404,73 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
     return std::nullopt;
 }
 
+std::optional<cache::Cache::Slot>
+CcController::locateStaged(const StagedOperand &s) const
+{
+    if (s.cache->holds(s.slot, s.addr))
+        return s.slot;
+    return s.cache->find(s.addr);
+}
+
+const Block *
+CcController::peekStaged(const StagedOperand &s) const
+{
+    if (s.cache->holds(s.slot, s.addr))
+        return s.cache->peek(s.slot);
+    return s.cache->peek(s.addr);
+}
+
+bool
+CcController::pokeStaged(const StagedOperand &s, const Block &data)
+{
+    if (s.cache->holds(s.slot, s.addr)) {
+        s.cache->poke(s.slot, data);
+        s.cache->markDirty(s.slot);
+        return true;
+    }
+    if (!s.cache->poke(s.addr, data))
+        return false;
+    s.cache->markDirty(s.addr);
+    return true;
+}
+
+void
+CcController::unpinStaged()
+{
+    for (const StagedOperand &s : scratchStaged_) {
+        if (auto slot = locateStaged(s))
+            s.cache->unpin(*slot);
+    }
+}
+
 CcController::BlockOpOutcome
 CcController::performBlockOp(CoreId core, const CcInstruction &instr,
                              const BlockOp &op, CacheLevel level)
 {
     BlockOpOutcome out;
 
-    auto read_block = [&](Addr a) -> Block {
-        Cache &c = hier_.cacheAt(level, core, a);
-        if (const Block *p = c.peek(a))
+    // Every operand of an executeOnce block op was staged; its data is
+    // read and written through the staged slot while that holds.
+    auto read_block = [&](const StagedOperand &s) -> Block {
+        if (const Block *p = peekStaged(s))
             return *p;
         // A staged operand can be lost to an unexpected invalidation;
         // re-fetch it instead of aborting the simulation.
         if (stats_)
             operandRefetchesStat_->inc();
         Block blk{};
-        out.extraLatency += hier_.read(core, a, &blk, level).latency;
+        out.extraLatency += hier_.read(core, s.addr, &blk, level).latency;
         return blk;
     };
 
-    auto write_block = [&](Addr a, const Block &data) {
-        Cache &c = hier_.cacheAt(level, core, a);
-        if (c.poke(a, data)) {
-            c.markDirty(a);
+    const StagedOperand *dst =
+        op.dest ? &scratchStaged_[op.destStaged] : nullptr;
+    auto write_block = [&](const Block &data) {
+        if (pokeStaged(*dst, data))
             return;
-        }
         if (stats_)
             operandRefetchesStat_->inc();
-        out.extraLatency += hier_.write(core, a, &data, level).latency;
+        out.extraLatency += hier_.write(core, dst->addr, &data, level).latency;
     };
 
     // Final rung of the degradation ladder: the operands' cells are
@@ -423,9 +498,9 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
     Block a{};
     Block b{};
     if (op.src1)
-        a = read_block(op.src1);
+        a = read_block(scratchStaged_[op.src1Staged]);
     if (op.src2)
-        b = read_block(op.src2);
+        b = read_block(scratchStaged_[op.src2Staged]);
 
     // Rung 2: re-sense through the near-place path (single rows at
     // full margin, so margin failures cannot recur), with one more ECC
@@ -500,10 +575,8 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
                                                  instr.clmulWordBits);
         std::uint64_t bits = blockWord(parities, 0);
 
-        Cache &dst_cache = hier_.cacheAt(level, core, op.dest);
-        const Block *cur = dst_cache.peek(op.dest);
         Block merged{};
-        if (cur) {
+        if (const Block *cur = peekStaged(*dst)) {
             merged = *cur;
         } else {
             // The packed destination was evicted mid-instruction;
@@ -521,8 +594,9 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
             : ((std::uint64_t{1} << bits_per_op) - 1) << shift;
         w = (w & ~mask) | ((bits << shift) & mask);
         setBlockWord(merged, word, w);
-        dst_cache.poke(op.dest, merged);
-        dst_cache.markDirty(op.dest);
+        bool written = pokeStaged(*dst, merged);
+        CC_ASSERT(written, "packed clmul destination 0x", std::hex,
+                  op.dest, " absent after refetch");
 
         // One result-register drain (a block write) per filled dest.
         if (energy_ && bit_off + bits_per_op == 8 * kBlockSize)
@@ -548,8 +622,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
                 if (isCcR(instr.op)) {
                     out.mask = BlockCompute::wordEqualMask(sa, sb);
                 } else {
-                    write_block(op.dest,
-                                BlockCompute::apply(instr.op, sa, sb,
+                    write_block(BlockCompute::apply(instr.op, sa, sb,
                                                     instr.clmulWordBits));
                 }
                 return out;
@@ -559,7 +632,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
             if (isCcR(instr.op))
                 out.mask = res.wordEqualMask;
             else
-                write_block(op.dest, res.result);
+                write_block(res.result);
             return out;
         }
 
@@ -568,7 +641,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
         } else {
             Block result = BlockCompute::apply(instr.op, a, b,
                                                instr.clmulWordBits);
-            write_block(op.dest, result);
+            write_block(result);
             if (faults_.enabled()) {
                 // Section IV-I: an in-place op bypasses the normal ECC
                 // datapath, so the result's code is recomputed by the
@@ -597,7 +670,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
         if (isCcR(instr.op)) {
             out.mask = res.wordEqualMask;
         } else {
-            write_block(op.dest, res.result);
+            write_block(res.result);
         }
     }
 
@@ -1015,21 +1088,21 @@ CcController::executeBitSerial(CoreId core, const CcInstruction &instr)
     // add/sub destination stack is fetched before the for-overwrite
     // staging of dest sees it resident.
     // ------------------------------------------------------------------
-    std::vector<Addr> &pinned = scratchPinned_;
+    std::vector<StagedOperand> &staged = scratchStaged_;
     std::vector<Cycles> &fetch_lats = scratchFetchLats_;
-    pinned.clear();
+    staged.clear();
     fetch_lats.clear();
     bool fallback = false;
 
     auto stage = [&](Addr addr, bool exclusive, bool overwrite) {
-        auto lat = stageOperand(core, addr, level, exclusive, overwrite);
-        if (!lat) {
+        auto s = stageOperand(core, addr, level, exclusive, overwrite);
+        if (!s) {
             fallback = true;
             return;
         }
-        if (*lat > 0)
-            fetch_lats.push_back(*lat);
-        pinned.push_back(addr);
+        if (s->latency > 0)
+            fetch_lats.push_back(s->latency);
+        staged.push_back(*s);
     };
 
     for (std::size_t g = 0; g < groups && !fallback; ++g) {
@@ -1046,13 +1119,8 @@ CcController::executeBitSerial(CoreId core, const CcInstruction &instr)
                   true);
     }
 
-    auto unpin_all = [&]() {
-        for (Addr addr : pinned)
-            hier_.cacheAt(level, core, addr).unpin(addr);
-    };
-
     if (fallback) {
-        unpin_all();
+        unpinStaged();
         instrTable_.release(*instr_id);
         return riscBitSerial(core, instr);
     }
@@ -1089,7 +1157,7 @@ CcController::executeBitSerial(CoreId core, const CcInstruction &instr)
         if (!place) {
             if (stats_)
                 stagingRacesStat_->inc();
-            unpin_all();
+            unpinStaged();
             instrTable_.release(*instr_id);
             return riscBitSerial(core, instr);
         }
@@ -1298,14 +1366,9 @@ CcController::executeBitSerial(CoreId core, const CcInstruction &instr)
                 static_cast<Cycles>(steps - 1) * interval +
                 outcome.extraLatency;
             if (!power_slots.empty()) {
-                std::pop_heap(power_slots.begin(), power_slots.end(),
-                              std::greater<>{});
-                auto &slot = power_slots.back();
-                start = std::max(start, slot.first);
+                start = std::max(start, power_slots.front().first);
                 end = start + busy;
-                slot.first = end;
-                std::push_heap(power_slots.begin(), power_slots.end(),
-                               std::greater<>{});
+                sched_.holdPowerSlot(end);
             } else {
                 end = start + busy;
             }
@@ -1357,7 +1420,7 @@ CcController::executeBitSerial(CoreId core, const CcInstruction &instr)
             res.latency += notify;
     }
 
-    unpin_all();
+    unpinStaged();
     instrTable_.release(*instr_id);
 
     if (stats_) {
@@ -1439,48 +1502,57 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     // Operand staging: fetch + pin every block of every operand. Misses
     // overlap up to fetchMlp deep.
     // ------------------------------------------------------------------
-    std::vector<Addr> &pinned = scratchPinned_;
+    // Each block op records where its operands were staged, so issue
+    // reuses the pinned slots instead of scanning tags again.
+    std::vector<BlockOp> &ops = scratchOps_;
+    ops.assign(blocks, BlockOp{});
+    std::vector<StagedOperand> &staged = scratchStaged_;
     std::vector<Cycles> &fetch_lats = scratchFetchLats_;
-    pinned.clear();
+    staged.clear();
     fetch_lats.clear();
     bool fallback = false;
 
-    auto stage = [&](Addr addr, bool exclusive, bool overwrite) {
-        auto lat = stageOperand(core, addr, level, exclusive, overwrite);
-        if (!lat) {
+    auto stage = [&](Addr addr, bool exclusive,
+                     bool overwrite) -> std::uint32_t {
+        auto s = stageOperand(core, addr, level, exclusive, overwrite);
+        if (!s) {
             fallback = true;
-            return;
+            return kUnstaged;
         }
-        if (*lat > 0)
-            fetch_lats.push_back(*lat);
-        pinned.push_back(addr);
+        if (s->latency > 0)
+            fetch_lats.push_back(s->latency);
+        staged.push_back(*s);
+        return static_cast<std::uint32_t>(staged.size() - 1);
     };
 
     bool dest_overwritten = instr.op != CcOpcode::Clmul ||
         instr.src2Replicated;
     for (std::size_t i = 0; i < blocks && !fallback; ++i) {
+        BlockOp &op = ops[i];
         Addr off = i * kBlockSize;
         if (instr.src1)
-            stage(instr.src1 + off, false, false);
+            op.src1Staged = stage(instr.src1 + off, false, false);
         if (instr.src2 && !fixed_src2 && !fallback)
-            stage(instr.src2 + off, false, false);
+            op.src2Staged = stage(instr.src2 + off, false, false);
         if (instr.dest && !instr.src2Replicated && !fallback)
-            stage(instr.dest + off, true, dest_overwritten);
+            op.destStaged = stage(instr.dest + off, true, dest_overwritten);
     }
-    if (fixed_src2 && !fallback)
-        stage(instr.src2, false, false);
+    if (fixed_src2 && !fallback) {
+        std::uint32_t key = stage(instr.src2, false, false);
+        for (BlockOp &op : ops)
+            op.src2Staged = key;
+    }
     if (instr.src2Replicated) {
-        for (std::size_t i = 0; i < dest_blocks && !fallback; ++i)
-            stage(instr.dest + i * kBlockSize, true, true);
+        for (std::size_t i = 0; i < dest_blocks && !fallback; ++i) {
+            std::uint32_t d = stage(instr.dest + i * kBlockSize, true, true);
+            for (std::size_t k = i * ops_per_dest_block;
+                 k < std::min(blocks, (i + 1) * ops_per_dest_block); ++k)
+                ops[k].destStaged = d;
+        }
     }
-
-    auto unpin_all = [&]() {
-        for (Addr a : pinned)
-            hier_.cacheAt(level, core, a).unpin(a);
-    };
 
     if (fallback) {
-        unpin_all();
+        unpinStaged();
         instrTable_.release(*instr_id);
         return riscFallback(core, instr);
     }
@@ -1503,8 +1575,16 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     // ------------------------------------------------------------------
     // Build block ops, resolve placement and operand locality.
     // ------------------------------------------------------------------
-    std::vector<BlockOp> &ops = scratchOps_;
-    ops.assign(blocks, BlockOp{});
+    // Placement of a staged operand; nullopt once its line has left.
+    auto place_of = [&](std::uint32_t si)
+        -> std::optional<geometry::BlockPlace> {
+        const StagedOperand &s = staged[si];
+        auto slot = locateStaged(s);
+        if (!slot)
+            return std::nullopt;
+        return s.cache->placeOf(*slot);
+    };
+
     for (std::size_t i = 0; i < blocks; ++i) {
         BlockOp &op = ops[i];
         op.index = i;
@@ -1516,45 +1596,41 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
         if (instr.src2Replicated)
             op.dest = instr.dest + (i / ops_per_dest_block) * kBlockSize;
 
-        Addr anchor = op.src1 ? op.src1 : op.dest;
-        Cache &anchor_cache = hier_.cacheAt(level, core, anchor);
-        auto place = anchor_cache.placeOf(anchor);
+        // The anchor operand is src1, or dest for cc_buz.
+        std::uint32_t anchor_staged = op.src1 ? op.src1Staged
+                                              : op.destStaged;
+        auto place = place_of(anchor_staged);
         if (!place) {
             // Lost to an invalidation race between staging and issue
             // (Section IV-E's lock window): release and degrade.
             if (stats_)
                 stagingRacesStat_->inc();
-            unpin_all();
+            unpinStaged();
             keys_.releaseInstr(seq);
             instrTable_.release(*instr_id);
             return riscFallback(core, instr);
         }
-        op.cacheIndex = level == CacheLevel::L3
-            ? hier_.sliceFor(core, anchor)
-            : core;
+        op.cacheIndex = staged[anchor_staged].cacheIndex;
         op.partition = place->globalPartition;
 
         // Locality: every (non-key) operand must sit in the same cache
         // instance and block partition. The search key is replicated, so
         // it never constrains locality.
         op.inPlace = !params_.forceNearPlace;
-        std::array<Addr, 3> members;
+        std::array<std::uint32_t, 3> members;
         std::size_t n_members = 0;
         if (op.src1)
-            members[n_members++] = op.src1;
+            members[n_members++] = op.src1Staged;
         if (op.src2 && !fixed_src2)
-            members[n_members++] = op.src2;
+            members[n_members++] = op.src2Staged;
         // A replicated clmul's dest is filled by the controller's result
         // shift register, so it does not constrain bit-line locality.
         if (op.dest && !instr.src2Replicated)
-            members[n_members++] = op.dest;
+            members[n_members++] = op.destStaged;
         for (std::size_t mi = 0; mi < n_members; ++mi) {
-            Addr m = members[mi];
-            unsigned idx = level == CacheLevel::L3
-                ? hier_.sliceFor(core, m)
-                : core;
-            Cache &c = hier_.cacheAt(level, core, m);
-            auto p = c.placeOf(m);
+            std::uint32_t si = members[mi];
+            unsigned idx = staged[si].cacheIndex;
+            auto p = place_of(si);
             if (!p) {
                 // Same race as the anchor, but survivable: the near-
                 // place path re-reads through the hierarchy.
@@ -1670,17 +1746,9 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
             Cycles busy = params_.inPlaceLatency(level) +
                 outcome.extraLatency;
             if (!power_slots.empty()) {
-                // Lexicographic (free-at, index) min-heap: the popped
-                // slot is the first minimum a linear scan would find,
-                // so schedules are bit-identical to the scan version.
-                std::pop_heap(power_slots.begin(), power_slots.end(),
-                              std::greater<>{});
-                auto &slot = power_slots.back();
-                start = std::max(start, slot.first);
+                start = std::max(start, power_slots.front().first);
                 end = start + busy;
-                slot.first = end;
-                std::push_heap(power_slots.begin(), power_slots.end(),
-                               std::greater<>{});
+                sched_.holdPowerSlot(end);
             } else {
                 end = start + busy;
             }
@@ -1726,7 +1794,7 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
             res.latency += notify;
     }
 
-    unpin_all();
+    unpinStaged();
     keys_.releaseInstr(seq);
     instrTable_.release(*instr_id);
 

@@ -232,6 +232,26 @@ class CcController
     fault::FaultInjector &mutableFaultInjector() { return faults_; }
 
   private:
+    /**
+     * An operand block staged and pinned by stageOperand(): the cache
+     * holding it and the slot its pin went to, so issue reaches the
+     * line without another tag scan. Per-instruction scratch, dead
+     * after one execute(). The slot is used only after Cache::holds()
+     * confirms it; a failed check (the line was invalidated or moved
+     * since staging) takes the address path (DESIGN.md §13.4).
+     */
+    struct StagedOperand
+    {
+        Addr addr = 0;
+        cache::Cache *cache = nullptr;
+        cache::Cache::Slot slot;
+        unsigned cacheIndex = 0;   ///< slice (L3) or core (L1/L2)
+        Cycles latency = 0;        ///< staging latency
+    };
+
+    /** Index into scratchStaged_; kUnstaged for an absent operand. */
+    static constexpr std::uint32_t kUnstaged = ~std::uint32_t{0};
+
     /** One simple vector operation, decomposed and placed. */
     struct BlockOp
     {
@@ -239,6 +259,13 @@ class CcController
         Addr src2 = 0;   ///< 0 when unused; key address for search
         Addr dest = 0;   ///< 0 for CC-R
         std::size_t index = 0;
+
+        /** Staged entries of src1, src2 and dest (executeOnce only;
+         *  the bit-serial path leaves them kUnstaged). @{ */
+        std::uint32_t src1Staged = kUnstaged;
+        std::uint32_t src2Staged = kUnstaged;
+        std::uint32_t destStaged = kUnstaged;
+        /** @} */
 
         bool inPlace = false;
         bool keyWrite = false;          ///< search key replication first
@@ -276,11 +303,32 @@ class CcController
                                 const std::vector<Block> &b,
                                 const std::vector<Block> &dst);
 
-    /** Stage + pin one operand; returns latency or nullopt if the line
-     *  could not be pinned (all ways pinned by other ops). */
-    std::optional<Cycles> stageOperand(CoreId core, Addr addr,
-                                       CacheLevel level, bool exclusive,
-                                       bool for_overwrite);
+    /** Stage + pin one operand; returns where it was pinned and the
+     *  staging latency, or nullopt if the line could not be pinned (all
+     *  ways pinned by other ops). */
+    std::optional<StagedOperand> stageOperand(CoreId core, Addr addr,
+                                              CacheLevel level,
+                                              bool exclusive,
+                                              bool for_overwrite);
+
+    /** Where a staged operand's line is now: its pinned slot while
+     *  holds() confirms it (no tag scan), else a tag lookup; nullopt
+     *  once the line has left the cache. */
+    std::optional<cache::Cache::Slot>
+    locateStaged(const StagedOperand &s) const;
+
+    /** Read / overwrite-and-mark-dirty a staged operand in place,
+     *  through its slot while holds() confirms it, else by address;
+     *  nullptr / false once the line has left the cache. Kept apart
+     *  from locateStaged so the block-op path inlines only the O(1)
+     *  check and reaches the tag scan through Cache's out-of-line
+     *  address API (inlining the scan here slowed kernels_cc ~20%). @{ */
+    const Block *peekStaged(const StagedOperand &s) const;
+    bool pokeStaged(const StagedOperand &s, const Block &data);
+    /** @} */
+
+    /** Release the pins of every operand in scratchStaged_. */
+    void unpinStaged();
 
     /** Outcome of one block op, including fault-ladder effects. */
     struct BlockOpOutcome
@@ -384,13 +432,17 @@ class CcController
         std::vector<Cycles> nearFree;
         /** Active-sub-array power slots as a binary min-heap of
          *  (free-at cycle, slot index), ordered lexicographically so the
-         *  pop matches what a first-minimum linear scan would pick —
+         *  top is what a first-minimum linear scan would pick —
          *  smallest free time, then smallest slot index. Replaces an
          *  O(cap) std::min_element per in-place op with O(log cap). */
         std::vector<std::pair<Cycles, std::uint32_t>> powerSlots;
         std::vector<Cycles> fetchLats;
 
         void reset(unsigned power_cap);
+
+        /** Occupy the earliest-free power slot (the heap top) until
+         *  @p free_at, which is no earlier than its current free time. */
+        void holdPowerSlot(Cycles free_at);
     };
 
     InstructionTable instrTable_;
@@ -443,7 +495,7 @@ class CcController
      *  heap allocation in steady state (DESIGN.md §13 arena rules:
      *  contents are dead outside one executeOnce activation). @{ */
     std::vector<Addr> scratchBlocks_;
-    std::vector<Addr> scratchPinned_;
+    std::vector<StagedOperand> scratchStaged_;
     std::vector<Cycles> scratchFetchLats_;
     std::vector<BlockOp> scratchOps_;
     /** Sensed source / result slice blocks of one bit-serial lane

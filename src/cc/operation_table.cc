@@ -32,19 +32,20 @@ OperationTable::occupancy() const
 
 std::optional<std::size_t>
 OperationTable::allocate(InstrId instr, std::size_t op_index,
-                         std::vector<Addr> operands)
+                         std::initializer_list<Addr> operands)
 {
-    CC_ASSERT(!operands.empty() && operands.size() <= 32,
+    CC_ASSERT(operands.size() > 0 && operands.size() <= 32,
               "bad operand count ", operands.size());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         if (entries_[i].valid)
             continue;
         OpEntry &e = entries_[i];
-        e = OpEntry{};
         e.valid = true;
         e.instr = instr;
         e.opIndex = op_index;
-        e.operands = std::move(operands);
+        e.operands.assign(operands.begin(), operands.end());
+        e.fetched = 0;
+        e.status = OpStatus::WaitingOperands;
         return i;
     }
     return std::nullopt;

@@ -9,6 +9,7 @@
 #define CCACHE_CC_OPERATION_TABLE_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
@@ -35,7 +36,9 @@ struct OpEntry
     InstrId instr = 0;
     std::size_t opIndex = 0;      ///< which slice of the instruction
 
-    std::vector<Addr> operands;   ///< block addresses involved
+    /** Block addresses involved. The storage stays with the table
+     *  entry and is reused by every later allocation of that entry. */
+    std::vector<Addr> operands;
     std::uint32_t fetched = 0;    ///< bit per operand: resident + pinned
     OpStatus status = OpStatus::WaitingOperands;
 
@@ -55,9 +58,11 @@ class OperationTable
     std::size_t occupancy() const;
     bool full() const { return occupancy() == capacity(); }
 
-    /** Allocate an entry; nullopt when full (back-pressure). */
+    /** Allocate an entry; nullopt when full (back-pressure). Once an
+     *  entry's operand storage has grown to fit, allocating it again
+     *  does not touch the heap (DESIGN.md §13.4). */
     std::optional<std::size_t> allocate(InstrId instr, std::size_t op_index,
-                                        std::vector<Addr> operands);
+                                        std::initializer_list<Addr> operands);
 
     OpEntry &entry(std::size_t id);
 

@@ -47,6 +47,25 @@ wordAt(const Bytes &buf, std::size_t word)
     return w;
 }
 
+/** Host-side reference of a logical op, in place over @p a (src1),
+ *  one 8-byte word at a time (vector sizes are word multiples,
+ *  CcInstruction::validate); @p b is src2, unused by Not. */
+void
+refLogic(cc::CcOpcode op, Bytes &a, const Bytes &b)
+{
+    for (std::size_t i = 0; i + 8 <= a.size(); i += 8) {
+        std::uint64_t x, y = 0;
+        std::memcpy(&x, a.data() + i, 8);
+        if (op != cc::CcOpcode::Not)
+            std::memcpy(&y, b.data() + i, 8);
+        x = op == cc::CcOpcode::Not ? ~x
+          : op == cc::CcOpcode::And ? (x & y)
+          : op == cc::CcOpcode::Or  ? (x | y)
+                                    : (x ^ y);
+        std::memcpy(a.data() + i, &x, 8);
+    }
+}
+
 /** Host-side reference of one CC-R chunk's packed result register:
  *  bit w set iff 8-byte word w of src1 equals word w of src2 (cmp) or
  *  word (w % 8) of the 64-byte key (search). */
@@ -284,38 +303,30 @@ goldenVerifyRequest(sim::System &sys, const Request &req,
     }
 
     for (const cc::CcInstruction &in : instrs) {
-        Bytes a = sys.dump(in.src1, in.size);
+        // cc_buz keeps its only operand in dest (CcInstruction::buz).
         Bytes want;
-        Addr where = in.dest;
-        switch (in.op) {
-          case cc::CcOpcode::Buz:
+        if (in.op == cc::CcOpcode::Buz) {
             want.assign(in.size, 0);
-            where = in.src1;
-            break;
-          case cc::CcOpcode::Copy:
-            want = a;
-            break;
-          case cc::CcOpcode::Not:
-            want.resize(in.size);
-            for (std::size_t i = 0; i < in.size; ++i)
-                want[i] = static_cast<std::uint8_t>(~a[i]);
-            break;
-          case cc::CcOpcode::And:
-          case cc::CcOpcode::Or:
-          case cc::CcOpcode::Xor: {
-            Bytes b = sys.dump(in.src2, in.size);
-            want.resize(in.size);
-            for (std::size_t i = 0; i < in.size; ++i) {
-                want[i] = in.op == cc::CcOpcode::And ? (a[i] & b[i])
-                        : in.op == cc::CcOpcode::Or  ? (a[i] | b[i])
-                                                     : (a[i] ^ b[i]);
+        } else {
+            want = sys.dump(in.src1, in.size);
+            switch (in.op) {
+              case cc::CcOpcode::Copy:
+                break;
+              case cc::CcOpcode::Not:
+              case cc::CcOpcode::And:
+              case cc::CcOpcode::Or:
+              case cc::CcOpcode::Xor: {
+                Bytes b;
+                if (in.op != cc::CcOpcode::Not)
+                    b = sys.dump(in.src2, in.size);
+                refLogic(in.op, want, b);
+                break;
+              }
+              default:
+                return false;   // not a serve opcode
             }
-            break;
-          }
-          default:
-            return false;   // not a serve opcode
         }
-        if (sys.dump(where, in.size) != want)
+        if (sys.dump(in.dest, in.size) != want)
             return false;
     }
     return true;

@@ -176,6 +176,43 @@ TEST_F(CacheTest, PlaceOfResidentLine)
     EXPECT_FALSE(cache.placeOf(0x9999000).has_value());
 }
 
+TEST_F(CacheTest, SlotHoldsItsLineUntilEvicted)
+{
+    const Addr base = 0x100000;   // L1 set repeats every 4 KB
+    EXPECT_FALSE(cache.find(base));
+    EXPECT_FALSE(cache.holds(Cache::Slot{}, base));
+
+    cache.fill(base, patternBlock(1), Mesi::Exclusive);
+    auto slot = cache.find(base);
+    ASSERT_TRUE(slot);
+    EXPECT_TRUE(cache.holds(*slot, base));
+    EXPECT_TRUE(cache.holds(*slot, base + 17));       // same block
+    EXPECT_FALSE(cache.holds(*slot, base + 64));      // other set
+    EXPECT_FALSE(cache.holds(*slot, base + 4096));    // same set, other tag
+
+    // The slot accessors act on the same line as the address ones.
+    EXPECT_EQ(*cache.peek(*slot), patternBlock(1));
+    EXPECT_EQ(cache.placeOf(*slot), *cache.placeOf(base));
+    cache.pin(*slot);
+    EXPECT_TRUE(cache.isPinned(base));
+    cache.unpin(*slot);
+    EXPECT_FALSE(cache.isPinned(base));
+    cache.poke(*slot, patternBlock(2));
+    cache.markDirty(*slot);
+    EXPECT_EQ(cache.state(*slot), Mesi::Modified);
+    EXPECT_TRUE(cache.isDirty(base));
+    EXPECT_EQ(*cache.peek(base), patternBlock(2));
+
+    // Once the line leaves, the slot no longer holds it — even after
+    // another line of the same set takes that very way.
+    cache.invalidate(base);
+    EXPECT_FALSE(cache.holds(*slot, base));
+    cache.fill(base + 4096, patternBlock(3), Mesi::Shared);
+    ASSERT_EQ(cache.find(base + 4096)->way, slot->way);
+    EXPECT_FALSE(cache.holds(*slot, base));
+    EXPECT_TRUE(cache.holds(*slot, base + 4096));
+}
+
 TEST_F(CacheTest, ForEachLineAndAddrOf)
 {
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 
@@ -170,6 +172,91 @@ TEST_F(HierarchyEdge, RepeatedFetchToLevelIsIdempotentAndCheap)
     Cycles fourth = hier.fetchToLevel(0, 0xc00000, CacheLevel::L2, false);
     EXPECT_GT(third, 0u);
     EXPECT_EQ(fourth, 0u);
+}
+
+TEST_F(HierarchyEdge, L3EvictionKeepsNewerDirtyL2Copy)
+{
+    // Same-set strides: L1 4 KB, L2 32 KB, L3 slice 128 KB.
+    const Addr x = 0x6000000;
+    const Addr l1_stride = 4096, l2_stride = 32 * 1024,
+               l3_stride = 128 * 1024;
+    for (Addr a = x; a <= x + 16 * l3_stride; a += l1_stride)
+        hier.mapPage(a, 0);
+
+    // X = V1, pushed out of L1 and L2: L3 holds dirty V1.
+    Block v1 = pat(1);
+    hier.write(0, x, &v1);
+    for (unsigned k = 1; k <= 8; ++k)
+        hier.read(0, x + k * l2_stride);
+    ASSERT_FALSE(hier.l2(0).contains(x));
+    ASSERT_TRUE(hier.l3Slice(0).isDirty(x));
+
+    // X = V2, pushed out of L1 only: L2 holds dirty V2.
+    Block v2 = pat(2);
+    hier.write(0, x, &v2);
+    for (unsigned k = 1; k <= 8; ++k)
+        hier.read(0, x + k * l1_stride);
+    ASSERT_FALSE(hier.l1(0).contains(x));
+    ASSERT_TRUE(hier.l2(0).isDirty(x));
+    ASSERT_EQ(*hier.l2(0).peek(x), v2);
+
+    // Conflict-evict X's L3 set from another core: the back-invalidated
+    // L2 copy is the newest data and must reach memory.
+    for (unsigned k = 1; k <= 16; ++k)
+        hier.read(1, x + k * l3_stride);
+    ASSERT_FALSE(hier.l3Slice(0).contains(x));
+    ASSERT_FALSE(hier.l2(0).contains(x));
+    EXPECT_EQ(hier.debugRead(x), v2);
+    EXPECT_EQ(hier.memory().readBlock(x), v2);
+}
+
+TEST_F(HierarchyEdge, MapPageOverridesFirstTouch)
+{
+    const Addr page = 0x9000000;
+    EXPECT_FALSE(hier.homeSliceIfMapped(page).has_value());
+    EXPECT_EQ(hier.sliceFor(2, page + 0x40), 2u);   // first touch
+    EXPECT_EQ(hier.homeSliceIfMapped(page + 0xfc0), 2u);
+    hier.mapPage(page + 0x80, 6);
+    EXPECT_EQ(hier.sliceFor(3, page), 6u);
+    EXPECT_EQ(hier.homeSliceIfMapped(page), 6u);
+    // Neighbouring pages stay unmapped.
+    EXPECT_FALSE(hier.homeSliceIfMapped(page + kPageSize).has_value());
+    EXPECT_FALSE(hier.homeSliceIfMapped(page - kPageSize).has_value());
+}
+
+TEST_F(HierarchyEdge, PageMapKeepsEveryMappingThroughGrowth)
+{
+    // Far past the table's initial capacity: seeded pages, a mix of
+    // first touches and explicit mappings, checked against std::map.
+    Rng rng(20170204);
+    std::map<Addr, unsigned> want;
+    const unsigned slices = hier.params().ring.nodes;
+    for (unsigned i = 0; i < 120000; ++i) {
+        Addr page = (rng.next() & 0xffffffffffull) * kPageSize;
+        Addr addr = page + (rng.next() % kPageSize);
+        if (rng.next() % 4 == 0) {
+            unsigned slice = static_cast<unsigned>(rng.next() % slices);
+            hier.mapPage(addr, slice);
+            want[page] = slice;
+        } else {
+            CoreId core = static_cast<CoreId>(rng.next() % hier.cores());
+            unsigned got = hier.sliceFor(core, addr);
+            auto [it, fresh] = want.emplace(page, core);
+            ASSERT_EQ(got, it->second) << "page 0x" << std::hex << page;
+            (void)fresh;
+        }
+    }
+    ASSERT_GT(want.size(), 100000u);
+    for (const auto &[page, slice] : want) {
+        ASSERT_EQ(hier.homeSliceIfMapped(page + 0x40), slice);
+        ASSERT_EQ(hier.sliceFor(0, page), slice);
+    }
+    // Pages never touched are still reported unmapped.
+    for (unsigned i = 0; i < 1000; ++i) {
+        Addr page = ((rng.next() & 0xffffffffffull) | (Addr{1} << 40)) *
+            kPageSize;
+        EXPECT_FALSE(hier.homeSliceIfMapped(page).has_value());
+    }
 }
 
 } // namespace

@@ -87,6 +87,32 @@ TEST(OperationTable, ForwardedRequestLosesOperand)
     EXPECT_EQ(table.entry(*id).status, OpStatus::Ready);
 }
 
+TEST(OperationTable, ReallocationReusesOperandStorage)
+{
+    OperationTable table(1);
+    auto id = table.allocate(7, 3, {0x1000, 0x2000, 0x3000});
+    ASSERT_TRUE(id);
+    const Addr *storage = table.entry(*id).operands.data();
+    table.markFetched(*id, 0);
+    table.markFetched(*id, 1);
+    table.markFetched(*id, 2);
+    table.markIssued(*id);
+    table.markDone(*id);
+    table.release(*id);
+
+    // Same entry, no larger operand set: same storage, fresh state.
+    auto again = table.allocate(8, 0, {0x4000, 0x5000});
+    ASSERT_EQ(again, id);
+    const OpEntry &e = table.entry(*again);
+    EXPECT_EQ(e.operands.data(), storage);
+    EXPECT_EQ(e.operands, (std::vector<Addr>{0x4000, 0x5000}));
+    EXPECT_EQ(e.instr, 8u);
+    EXPECT_EQ(e.opIndex, 0u);
+    EXPECT_EQ(e.fetched, 0u);
+    EXPECT_EQ(e.status, OpStatus::WaitingOperands);
+    EXPECT_FALSE(e.allFetched());
+}
+
 TEST(OperationTable, CapacityBackPressure)
 {
     OperationTable table(2);

@@ -111,6 +111,62 @@ TEST(RequestBuilder, PatternFillIsShardIndependent)
     EXPECT_EQ(build_and_dump(0), build_and_dump(1));
 }
 
+/** Run every instruction of @p req on core 0. */
+void
+executeRequest(sim::System &sys, const Request &req)
+{
+    sys.cc().execute(0, req.instr);
+    for (const cc::CcInstruction &in : req.chunks)
+        sys.cc().execute(0, in);
+}
+
+TEST(GoldenVerify, ExecutedRequestsVerifyAndOneWrongByteFails)
+{
+    RequestBuildParams params;
+    params.fillPattern = true;
+    params.patternSeed = 0x5eedULL;
+    // Two chunks, so the reference covers the chunk loop too.
+    const std::size_t bytes = cc::kMaxVectorBytes + 4096;
+    RequestId id = 1;
+    for (cc::CcOpcode op :
+         {cc::CcOpcode::Buz, cc::CcOpcode::Copy, cc::CcOpcode::Not,
+          cc::CcOpcode::And, cc::CcOpcode::Or, cc::CcOpcode::Xor}) {
+        SCOPED_TRACE(cc::toString(op));
+        sim::System sys;
+        geometry::LocalityAllocator alloc(0x40000000, 1 << 20);
+        std::optional<Request> req = buildRequest(
+            sys, alloc, params, makeSpec(op, bytes), id++, nullptr);
+        ASSERT_TRUE(req.has_value());
+        ASSERT_EQ(req->chunks.size(), 1u);
+
+        executeRequest(sys, *req);
+        EXPECT_TRUE(goldenVerifyRequest(sys, *req, 0));
+
+        // One flipped destination byte, in the last chunk.
+        const cc::CcInstruction &last = req->chunks.back();
+        Addr where = last.dest + last.size - 3;
+        std::uint8_t byte = sys.dump(where, 1)[0] ^ 0x10;
+        sys.load(where, &byte, 1);
+        EXPECT_FALSE(goldenVerifyRequest(sys, *req, 0));
+    }
+}
+
+TEST(GoldenVerify, UnexecutedBuzFails)
+{
+    sim::System sys;
+    geometry::LocalityAllocator alloc(0x40000000, 1 << 20);
+    RequestBuildParams params;
+    std::optional<Request> req = buildRequest(
+        sys, alloc, params, makeSpec(cc::CcOpcode::Buz, 4096), 1, nullptr);
+    ASSERT_TRUE(req.has_value());
+    std::vector<std::uint8_t> filled(4096, 0xAB);
+    sys.load(req->instr.dest, filled.data(), filled.size());
+    EXPECT_FALSE(goldenVerifyRequest(sys, *req, 0));
+
+    executeRequest(sys, *req);
+    EXPECT_TRUE(goldenVerifyRequest(sys, *req, 0));
+}
+
 TEST(CcServer, UndersizedHeapShedsNoCapacity)
 {
     // Regression: heap exhaustion at admission must degrade into a
