@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hh"
 #include "geometry/cache_geometry.hh"
 #include "sram/subarray.hh"
@@ -20,6 +22,15 @@ struct SweepCase
     std::size_t rows;
     std::size_t cols;
 };
+
+/** Lists a case as "L1 128x512" rather than gtest's default byte dump,
+ *  which would include the address of `name` and so change from build
+ *  to build. */
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.name << ' ' << c.rows << 'x' << c.cols;
+}
 
 class SubArraySweep : public ::testing::TestWithParam<SweepCase>
 {
