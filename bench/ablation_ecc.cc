@@ -18,11 +18,11 @@
 using namespace ccache;
 using namespace ccache::cc;
 
+namespace bench::ablation_ecc {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Section IV-I: XOR-check unit vs scrubbing ECC ablation");
     bench::header("Ablation: ECC strategies for in-place logical ops "
                   "(Section IV-I)");
 
@@ -97,3 +97,5 @@ main(int argc, char **argv)
     bench::note("doubles logical-op energy but leaves zero exposure.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_ecc

@@ -21,6 +21,8 @@
 using namespace ccache;
 using namespace ccache::cc;
 
+namespace bench::ablation_fault {
+
 namespace {
 
 constexpr std::size_t kLen = 4096;  // 64 blocks per instruction
@@ -110,10 +112,8 @@ printRow(const Row &row, const RunResult &base)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Fault-injection ladder: rate vs slowdown/energy/corruption");
     bench::header("Ablation: fault rate vs slowdown / energy / silent "
                   "corruption (degradation ladder)");
 
@@ -253,3 +253,5 @@ main(int argc, char **argv)
     bench::note("demonstrate the injector's determinism.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_fault

@@ -13,6 +13,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::ablation_locality {
+
 namespace {
 
 struct Outcome
@@ -59,10 +61,8 @@ runMix(int misaligned_of_8)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Section IV-C: operand-misalignment sensitivity sweep");
     bench::header("Ablation: operand-locality sensitivity "
                   "(8 x 4 KB copies)");
 
@@ -115,3 +115,5 @@ main(int argc, char **argv)
     bench::note("operation falls back to the serialized near-place unit.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_locality

@@ -14,6 +14,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::ablation_multicore {
+
 namespace {
 
 double
@@ -53,10 +55,8 @@ runCores(unsigned cores)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Multi-core CC scaling over NUCA slices");
     bench::header("Ablation: multi-core CC scaling (16 KB in-place copy "
                   "per core, local slices)");
 
@@ -140,3 +140,5 @@ main(int argc, char **argv)
                 "the bins.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_multicore

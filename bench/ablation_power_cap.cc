@@ -13,6 +13,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::ablation_power_cap {
+
 namespace {
 
 Cycles
@@ -37,10 +39,8 @@ runWithCap(unsigned cap)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Section IV-D: active-sub-array power cap sweep");
     bench::header("Ablation: peak-power cap (max active sub-arrays) vs "
                   "16 KB in-place copy");
 
@@ -90,3 +90,5 @@ main(int argc, char **argv)
                 "away.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_power_cap

@@ -14,6 +14,8 @@
 using namespace ccache;
 using namespace ccache::sram;
 
+namespace bench::ablation_subarray {
+
 namespace {
 
 struct RowResult
@@ -26,10 +28,8 @@ struct RowResult
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Section II-B: multi-row activation robustness sweep");
     bench::header("Ablation: multi-row activation robustness "
                   "(Section II-B)");
 
@@ -102,3 +102,5 @@ main(int argc, char **argv)
     bench::note("failure rate, consistent with the six-sigma claim.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_subarray

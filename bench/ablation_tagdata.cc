@@ -11,11 +11,11 @@
 
 using namespace ccache;
 
+namespace bench::ablation_tagdata {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Section IV-C: serial vs parallel tag-data access");
     bench::header("Ablation: serial vs parallel tag-data access in L1 "
                   "(Section IV-C)");
 
@@ -75,3 +75,5 @@ main(int argc, char **argv)
                 "a clear win.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::ablation_tagdata

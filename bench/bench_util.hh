@@ -2,8 +2,8 @@
  * @file
  * Shared experiment-bench runner utilities.
  *
- * Every bench binary regenerates one table or figure of the paper. Two
- * output surfaces are produced per run:
+ * Every bench regenerates one table or figure of the paper. Two output
+ * surfaces are produced per run:
  *
  *  - the historical human-readable tables on stdout (header/rule/note),
  *    still what EXPERIMENTS.md quotes; and
@@ -43,7 +43,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -68,24 +67,6 @@ namespace bench {
 /** Version of the bench-results JSON schema (see file header).
  *  v2 added the run-local "perf" section. */
 inline constexpr int kBenchResultsVersion = 2;
-
-/**
- * Bench self-description: every bench registers a one-line description
- * at the top of main() via maybeDescribe(argc, argv, "..."). Invoked
- * with --describe, the bench prints that line and exits instead of
- * running — `ccbench --list` queries the catalog this way, so the list
- * column can never drift from the binaries.
- */
-inline void
-maybeDescribe(int argc, char **argv, const char *description)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--describe") == 0) {
-            std::printf("%s\n", description);
-            std::exit(0);
-        }
-    }
-}
 
 inline void
 header(const std::string &title)

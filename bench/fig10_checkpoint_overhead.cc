@@ -11,11 +11,11 @@
 using namespace ccache;
 using namespace ccache::apps;
 
+namespace bench::fig10_checkpoint_overhead {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 10: checkpointing performance overhead");
     bench::header("Figure 10: checkpointing performance overhead (%)");
 
     CheckpointConfig cfg;
@@ -78,3 +78,5 @@ main(int argc, char **argv)
     bench::note("locality: checkpoint copies are page-aligned).");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig10_checkpoint_overhead

@@ -11,11 +11,11 @@
 using namespace ccache;
 using namespace ccache::apps;
 
+namespace bench::fig11_checkpoint_energy {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 11: checkpointing total energy");
     bench::header("Figure 11: checkpointing total energy (uJ)");
 
     CheckpointConfig cfg;
@@ -78,3 +78,5 @@ main(int argc, char **argv)
     bench::note("visible core-dynamic and uncore energy.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig11_checkpoint_energy

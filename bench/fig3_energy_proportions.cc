@@ -16,6 +16,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::fig3_energy_proportions {
+
 namespace {
 
 constexpr std::size_t kN = 4096;
@@ -64,10 +66,8 @@ runCompare(int mode)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 3: instruction-processing vs data-movement energy");
     bench::header("Figure 3: energy proportions, bulk compare of 4 KB "
                   "operands");
 
@@ -116,3 +116,5 @@ main(int argc, char **argv)
     bench::note("and eliminates the data movement.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig3_energy_proportions

@@ -16,6 +16,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::fig7_microbench {
+
 namespace {
 
 constexpr std::size_t kN = 4096;
@@ -80,10 +82,8 @@ runKernel(BulkKernel kernel, bool use_cc, Json *stats_out = nullptr,
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 7: throughput + energy of the four CC kernels");
     const BulkKernel kernels[] = {BulkKernel::Copy, BulkKernel::Compare,
                                   BulkKernel::Search,
                                   BulkKernel::LogicalOr};
@@ -213,3 +213,5 @@ main(int argc, char **argv)
 
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig7_microbench

@@ -12,6 +12,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::fig8_cache_levels {
+
 namespace {
 
 constexpr std::size_t kN = 4096;
@@ -51,10 +53,8 @@ runOnce(BulkKernel kernel, CacheLevel level, bool use_cc)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 8b: CC savings with operands at L1/L2/L3");
     bench::header("Figure 8b: dynamic-energy savings per cache level, "
                   "4 KB operands");
 
@@ -105,3 +105,5 @@ main(int argc, char **argv)
                 "Base_32).");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig8_cache_levels

@@ -13,6 +13,8 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::fig8_inplace_vs_nearplace {
+
 namespace {
 
 constexpr std::size_t kN = 4096;
@@ -59,10 +61,8 @@ runKernel(BulkKernel kernel, bool near_place)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 8a: in-place vs near-place energy & throughput");
     bench::header("Figure 8a: in-place vs near-place Compute Cache, "
                   "4 KB operands");
 
@@ -130,3 +130,5 @@ main(int argc, char **argv)
     bench::note("beats the conventional baseline.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig8_inplace_vs_nearplace

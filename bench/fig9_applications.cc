@@ -16,6 +16,8 @@
 using namespace ccache;
 using namespace ccache::apps;
 
+namespace bench::fig9_applications {
+
 namespace {
 
 struct AppOutcome
@@ -56,10 +58,8 @@ runApp(const char *name, App &app, double paper_speedup)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Figure 9: application speedup & energy (BMM, WordCount, ...)");
     bench::header("Figure 9: application speedup and total-energy savings"
                   " (CC vs Base_32)");
 
@@ -129,3 +129,5 @@ main(int argc, char **argv)
     bench::note("reductions 98% / 87% / 32% / 43%.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::fig9_applications

@@ -22,6 +22,8 @@
 using namespace ccache;
 using namespace ccache::apps;
 
+namespace bench::neural_gemm {
+
 namespace {
 
 struct GemmOutcome
@@ -84,10 +86,8 @@ runPoint(const std::string &name, const QuantGemmConfig &cfg)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Bit-serial int8 GEMM (Neural Cache MACs) vs scalar/SIMD");
     bench::header("Neural GEMM: bit-serial int8 MAC throughput "
                   "(CC vs Base / Base_32)");
 
@@ -154,3 +154,5 @@ main(int argc, char **argv)
                 "and stream overheads.");
     return bench::finish(results, sweep, ok);
 }
+
+} // namespace bench::neural_gemm

@@ -37,6 +37,8 @@
 
 using namespace ccache;
 
+namespace bench::sampled_trace {
+
 namespace {
 
 constexpr std::size_t kIntervalRecords = 1000;
@@ -259,11 +261,8 @@ relError(double est, double golden)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(
-        argc, argv,
-        "Sampled trace frontend: phase clustering vs full-run golden");
     bench::header("Sampled trace frontend: estimate vs full-run golden");
 
     bench::ResultsWriter results("sampled_trace");
@@ -397,3 +396,5 @@ main(int argc, char **argv)
     bench::note("planted memcpy/memcmp/memset blocks rewritten.");
     return bench::finish(results, sweep, ok);
 }
+
+} // namespace bench::sampled_trace

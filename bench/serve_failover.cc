@@ -31,6 +31,8 @@
 #include "sim/system.hh"
 #include "workload/traffic_gen.hh"
 
+namespace bench::serve_failover {
+
 namespace {
 
 using namespace ccache;
@@ -163,10 +165,8 @@ emitMetrics(bench::SweepContext &ctx, const Scenario &slot)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Sharded serving: availability through shard kill+recovery");
     bench::header("Fault-tolerant serving: 4-shard fleet under chaos");
     bench::note("all scenarios golden-verified; availability counts only "
                 "bit-exact completions");
@@ -376,3 +376,5 @@ main(int argc, char **argv)
 
     return bench::finish(results, sweep, ok);
 }
+
+} // namespace bench::serve_failover

@@ -36,6 +36,8 @@
 #include "sim/system.hh"
 #include "workload/traffic_gen.hh"
 
+namespace bench::serve_fleet {
+
 namespace {
 
 using namespace ccache;
@@ -207,10 +209,8 @@ emitMetrics(bench::SweepContext &ctx, const Scenario &slot)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Fleet controller: fan-out, migration, global backpressure");
     bench::header(
         "Fleet controller: Zipf hot-spot traffic over a 4-shard fleet");
     bench::note("2M-key Zipf(0.99) space; every commit golden-verified; "
@@ -423,3 +423,5 @@ main(int argc, char **argv)
 
     return bench::finish(results, sweep, ok);
 }
+
+} // namespace bench::serve_fleet

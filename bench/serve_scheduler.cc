@@ -25,6 +25,8 @@
 #include "sim/system.hh"
 #include "workload/traffic_gen.hh"
 
+namespace bench::serve_scheduler {
+
 namespace {
 
 using namespace ccache;
@@ -99,10 +101,8 @@ runPoint(unsigned tenants, double load_rpkc, serve::ServePolicy policy,
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Multi-tenant DRR batch scheduler vs FIFO at saturation");
     bench::header("Serving-layer scheduler: load x tenants x policy");
     bench::note("open-loop Poisson traffic; throughput in requests per "
                 "million cycles (rpMc)");
@@ -257,3 +257,5 @@ main(int argc, char **argv)
 
     return bench::finish(results, sweep, ok);
 }
+
+} // namespace bench::serve_scheduler

@@ -11,11 +11,11 @@
 using namespace ccache;
 using namespace ccache::energy;
 
+namespace bench::table1_cache_energy {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Table I: per-access read energy split (H-tree vs bit-array)");
     bench::header("Table I: Cache energy per read access");
     EnergyParams params;
 
@@ -61,3 +61,5 @@ main(int argc, char **argv)
                 "(Section III).");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::table1_cache_energy

@@ -13,11 +13,11 @@
 using namespace ccache;
 using namespace ccache::geometry;
 
+namespace bench::table3_operand_locality {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Table III: geometry-derived operand-locality constraint");
     bench::header("Table III: Cache geometry and operand locality "
                   "constraint");
 
@@ -73,3 +73,5 @@ main(int argc, char **argv)
     }
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::table3_operand_locality

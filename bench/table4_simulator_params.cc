@@ -11,11 +11,11 @@
 using namespace ccache;
 using namespace ccache::sim;
 
+namespace bench::table4_simulator_params {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Table IV: the simulated machine, from live config");
     bench::header("Table IV: simulator parameters (live configuration)");
 
     SystemConfig cfg;
@@ -107,3 +107,5 @@ main(int argc, char **argv)
                 "120-cycle memory.");
     return bench::finish(results, sweep);
 }
+
+} // namespace bench::table4_simulator_params

@@ -13,11 +13,11 @@
 using namespace ccache;
 using namespace ccache::energy;
 
+namespace bench::table5_cc_op_energy {
+
 int
-main(int argc, char **argv)
+run(int, char **)
 {
-    bench::maybeDescribe(argc, argv,
-                         "Table V: per-block energy for every op at every level");
     bench::header("Table V: Cache energy (pJ) per 64-byte cache block");
     EnergyParams params;
 
@@ -87,3 +87,5 @@ main(int argc, char **argv)
     results.metric("consistency.ok", ok ? 1 : 0);
     return bench::finish(results, sweep, ok);
 }
+
+} // namespace bench::table5_cc_op_energy

@@ -306,6 +306,15 @@ CcInstruction::sliceCount(Addr base) const
     return laneBits;                 // full bit-slice stack
 }
 
+std::size_t
+CcInstruction::destBytes() const
+{
+    if (src2Replicated)
+        return divCeil(size / kBlockSize * clmulBitsPerBlock(),
+                       8 * kBlockSize) * kBlockSize;
+    return size;
+}
+
 std::vector<Addr>
 CcInstruction::writtenAddrs() const
 {
@@ -366,6 +375,23 @@ CcInstruction::validate() const
                              ": mul destination overlaps a source");
             }
         }
+    } else if (!isCcR(op) && op != CcOpcode::Buz) {
+        // A destination that partly overlaps a source would read blocks
+        // the instruction has already written. Only exact aliasing, the
+        // in-place update, keeps the snapshot semantics of every path.
+        // The replicated clmul key is re-read for every block, so the
+        // destination may not alias it at all.
+        Addr dhi = dest + destBytes();
+        auto overlaps = [&](Addr s, std::size_t bytes) {
+            return s < dhi && dest < s + bytes;
+        };
+        bool bad_src2 = src2Replicated
+            ? overlaps(src2, kSearchKeyBytes)
+            : numAddrOperands(op) == 3 && src2 != dest &&
+                overlaps(src2, size);
+        if ((src1 != dest && overlaps(src1, size)) || bad_src2)
+            CC_FATAL(toString(),
+                     ": destination partially overlaps a source");
     }
 }
 
@@ -383,9 +409,8 @@ CcInstruction::spansPage() const
         std::size_t span = size;
         if ((op == CcOpcode::Search || src2Replicated) && a == src2)
             span = kSearchKeyBytes;
-        else if (src2Replicated && a == dest)
-            span = divCeil(size / kBlockSize * clmulBitsPerBlock(),
-                           8 * kBlockSize) * kBlockSize;
+        else if (a == dest)
+            span = destBytes();
         if (alignDown(a, kPageSize) != alignDown(a + span - 1, kPageSize))
             return true;
     }

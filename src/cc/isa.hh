@@ -166,6 +166,10 @@ struct CcInstruction
         return 8 * 64 / clmulWordBits;
     }
 
+    /** Bytes written at dest: the vector size, or for the replicated
+     *  clmul the densely packed parities (one bit per word). */
+    std::size_t destBytes() const;
+
     /** All memory operand base addresses in use. */
     std::vector<Addr> operandAddrs() const;
 
@@ -175,7 +179,8 @@ struct CcInstruction
     /**
      * Validate against the ISA limits; throws FatalError with a
      * diagnostic on malformed encodings (zero/oversized vectors, bad
-     * clmul width, unaligned operands).
+     * clmul width, unaligned operands, a destination that partially
+     * overlaps a source).
      */
     void validate() const;
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
 #include "common/rng.hh"
@@ -87,6 +89,48 @@ TEST(ControllerEdges, ReplicatedClmulDisassemblesAndValidates)
     EXPECT_NO_THROW(instr.validate());
     // The replicated block and packed dest never span pages here.
     EXPECT_FALSE(instr.spansPage());
+}
+
+TEST(ControllerEdges, PartiallyOverlappingCopyThrowsAndWritesNothing)
+{
+    sim::System sys;
+    const Addr src = 0x100000;
+    const std::size_t n = 2048;
+    std::vector<std::uint8_t> data(n + kBlockSize);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    sys.load(src, data.data(), data.size());
+
+    EXPECT_THROW(
+        sys.cc().execute(0, CcInstruction::copy(src, src + kBlockSize, n)),
+        FatalError);
+    EXPECT_EQ(sys.dump(src, data.size()), data);
+}
+
+TEST(ControllerEdges, InPlaceXorMatchesSnapshotAtEveryLevel)
+{
+    // dest == src1: every block reads its operands before it writes, so
+    // the in-place update equals a ^ b computed from the old a.
+    const Addr a = 0x100000, b = 0x200000;
+    const std::size_t n = 2048;
+    std::vector<std::uint8_t> da(n), db(n), expect(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        da[i] = static_cast<std::uint8_t>(i * 13 + 1);
+        db[i] = static_cast<std::uint8_t>(i * 5 + 9);
+        expect[i] = da[i] ^ db[i];
+    }
+    for (std::optional<CacheLevel> level :
+         {std::optional<CacheLevel>{}, std::optional{CacheLevel::L1},
+          std::optional{CacheLevel::L2}, std::optional{CacheLevel::L3}}) {
+        sim::SystemConfig config;
+        config.cc.forceLevel = level;
+        sim::System sys(config);
+        sys.load(a, da.data(), n);
+        sys.load(b, db.data(), n);
+        sys.cc().execute(0, CcInstruction::logicalXor(a, b, a, n));
+        EXPECT_EQ(sys.dump(a, n), expect);
+        EXPECT_EQ(sys.dump(b, n), db);
+    }
 }
 
 TEST(ControllerEdges, EngineHandlesNonChunkMultipleSizes)

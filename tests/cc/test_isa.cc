@@ -54,7 +54,7 @@ TEST(CcIsa, NumAddrOperands)
 TEST(CcIsa, ValidateAcceptsLimits)
 {
     EXPECT_NO_THROW(
-        CcInstruction::copy(0x1000, 0x2000, kMaxVectorBytes).validate());
+        CcInstruction::copy(0x1000, 0x8000, kMaxVectorBytes).validate());
     EXPECT_NO_THROW(
         CcInstruction::cmp(0x1000, 0x2000, kMaxCmpBytes).validate());
 }
@@ -82,6 +82,67 @@ TEST(CcIsa, ValidateRejectsBadEncodings)
     // Sizes must be word multiples.
     EXPECT_THROW(CcInstruction::copy(0x1000, 0x2000, 60).validate(),
                  FatalError);
+}
+
+TEST(CcIsa, ValidateRejectsPartialDestSourceOverlap)
+{
+    // The destination starts one block below or above a source and so
+    // covers part of it.
+    for (Addr d : {Addr{0x1000 - 64}, Addr{0x1000 + 64}}) {
+        EXPECT_THROW(CcInstruction::copy(0x1000, d, 2048).validate(),
+                     FatalError);
+        EXPECT_THROW(CcInstruction::logicalNot(0x1000, d, 2048).validate(),
+                     FatalError);
+        EXPECT_THROW(
+            CcInstruction::logicalXor(0x1000, 0x8000, d, 2048).validate(),
+            FatalError);
+        EXPECT_THROW(
+            CcInstruction::logicalXor(0x8000, 0x1000, d, 2048).validate(),
+            FatalError);
+        EXPECT_THROW(
+            CcInstruction::clmul(0x1000, 0x8000, d, 2048, 64).validate(),
+            FatalError);
+    }
+}
+
+TEST(CcIsa, ValidateAcceptsAliasedAndAdjacentDest)
+{
+    // dest == source is the in-place update; a dest that ends where a
+    // source starts (or starts where it ends) shares no byte with it.
+    EXPECT_NO_THROW(CcInstruction::copy(0x1000, 0x1000, 2048).validate());
+    EXPECT_NO_THROW(
+        CcInstruction::logicalXor(0x1000, 0x8000, 0x1000, 2048).validate());
+    EXPECT_NO_THROW(
+        CcInstruction::logicalXor(0x8000, 0x1000, 0x1000, 2048).validate());
+    EXPECT_NO_THROW(
+        CcInstruction::copy(0x1000, 0x1000 + 2048, 2048).validate());
+    EXPECT_NO_THROW(
+        CcInstruction::copy(0x1000 + 2048, 0x1000, 2048).validate());
+}
+
+TEST(CcIsa, ValidateUsesPackedDestAndKeySpans)
+{
+    // Replicated clmul: the key is one 64-byte block and the dest holds
+    // the packed parities (16 KB of 64-bit words -> 256 bytes).
+    EXPECT_NO_THROW(CcInstruction::clmulReplicated(0x8000, 0x1000, 0x1040,
+                                                   kMaxVectorBytes, 64)
+                        .validate());
+    EXPECT_NO_THROW(CcInstruction::clmulReplicated(0x8000, 0x1100, 0x1000,
+                                                   kMaxVectorBytes, 64)
+                        .validate());
+    EXPECT_THROW(CcInstruction::clmulReplicated(0x8000, 0x1040, 0x1000,
+                                                kMaxVectorBytes, 64)
+                     .validate(),
+                 FatalError);
+    // Every block re-reads the key, so even a dest equal to it would
+    // corrupt the blocks after the first; dest == src1 stays legal.
+    EXPECT_THROW(
+        CcInstruction::clmulReplicated(0x8000, 0x1000, 0x1000, 4096, 64)
+            .validate(),
+        FatalError);
+    EXPECT_NO_THROW(
+        CcInstruction::clmulReplicated(0x8000, 0x1000, 0x8000, 4096, 64)
+            .validate());
 }
 
 TEST(CcIsa, SpansPageDetection)

@@ -12,6 +12,17 @@
 #include "geometry/operand_locality.hh"
 
 namespace ccache::geometry {
+
+/** Lists a geometry by its name rather than gtest's default byte dump,
+ *  which starts with the address of `name` and so changes from build to
+ *  build. Outside the unnamed namespace, so that argument-dependent
+ *  lookup finds it next to CacheGeometryParams. */
+void
+PrintTo(const CacheGeometryParams &params, std::ostream *os)
+{
+    *os << params.name;
+}
+
 namespace {
 
 TEST(CacheGeometry, TableIIIMinMatchBits)
@@ -125,12 +136,16 @@ TEST(OperandLocality, PageAlignmentSufficientForAllPaperCaches)
         CacheGeometry(CacheGeometryParams::l3Slice())));
 }
 
+class LocalityProperty
+    : public ::testing::TestWithParam<CacheGeometryParams>
+{
+};
+
 /** Property: page alignment implies operand locality on every geometry
  *  whose minMatchBits <= 12 — the portability guarantee of Section IV-C. */
-void
-expectPageAlignmentImpliesLocality(const CacheGeometryParams &params)
+TEST_P(LocalityProperty, PageAlignmentImpliesLocality)
 {
-    CacheGeometry g(params);
+    CacheGeometry g(GetParam());
     ASSERT_LE(g.minMatchBits(), kPageOffsetBits);
     Rng rng(17);
     for (int i = 0; i < 2000; ++i) {
@@ -145,10 +160,9 @@ expectPageAlignmentImpliesLocality(const CacheGeometryParams &params)
 
 /** Property: two addresses have operand locality exactly when their low
  *  minMatchBits bits match. */
-void
-expectMatchingMinBitsIsExactlySufficient(const CacheGeometryParams &params)
+TEST_P(LocalityProperty, MatchingMinBitsIsExactlySufficient)
 {
-    CacheGeometry g(params);
+    CacheGeometry g(GetParam());
     Rng rng(23);
     for (int i = 0; i < 2000; ++i) {
         Addr a = rng.next() & ((Addr{1} << 38) - 1);
@@ -159,24 +173,9 @@ expectMatchingMinBitsIsExactlySufficient(const CacheGeometryParams &params)
     }
 }
 
-class LocalityProperty
-    : public ::testing::TestWithParam<CacheGeometryParams>
-{
-};
-
-TEST_P(LocalityProperty, PageAlignmentImpliesLocality)
-{
-    expectPageAlignmentImpliesLocality(GetParam());
-}
-
-TEST_P(LocalityProperty, MatchingMinBitsIsExactlySufficient)
-{
-    expectMatchingMinBitsIsExactlySufficient(GetParam());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllPaperGeometries, LocalityProperty,
-    ::testing::Values(CacheGeometryParams::l1d(),
+    ::testing::Values(CacheGeometryParams::l1d(), CacheGeometryParams::l2(),
                       CacheGeometryParams::l3Slice()),
     [](const auto &info) {
         std::string n = info.param.name;
@@ -185,20 +184,6 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
-
-// gtest lists a parameterized case as its name plus a byte dump of the
-// parameter, and for CacheGeometryParams that dump starts with the
-// address of the name string, which differs from build to build. The L2
-// cases run as plain tests so their listed names stay fixed.
-TEST(OperandLocality, PageAlignmentImpliesLocalityOnL2)
-{
-    expectPageAlignmentImpliesLocality(CacheGeometryParams::l2());
-}
-
-TEST(OperandLocality, MatchingMinBitsIsExactlySufficientOnL2)
-{
-    expectMatchingMinBitsIsExactlySufficient(CacheGeometryParams::l2());
-}
 
 TEST(OperandLocality, VectorOverload)
 {

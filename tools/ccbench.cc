@@ -5,9 +5,14 @@
  *
  * Usage:
  *
- *     ccbench [-j N] [--inner-jobs N] [--bin-dir DIR] [--results DIR]
- *             [--baseline DIR] [--threshold FRAC] [--stats] [--list]
- *             [--no-compare] [--resume] [--filter REGEX] [BENCH...]
+ *     ccbench [-j N] [--inner-jobs N] [--results DIR] [--baseline DIR]
+ *             [--threshold FRAC] [--stats] [--list] [--no-compare]
+ *             [--resume] [--filter REGEX] [BENCH...]
+ *     ccbench --run NAME
+ *
+ * Every bench of the paper is compiled into this binary and listed in
+ * kCatalog below; `--list` prints that table. `--run NAME` runs one
+ * bench in this process and exits with its status.
  *
  * Catalog selection: positional BENCH arguments are substring matches;
  * `--filter` takes an ECMAScript regex (partial match, repeatable).
@@ -16,21 +21,24 @@
  * `--resume` of the full catalog stays correct after a filtered run
  * (see tools/catalog_filter.hh).
  *
- * Every executable in the bench directory (default: the `bench/`
- * sibling of this binary's directory, i.e. `build/bench/`) is one unit
- * of work. ccbench fans the units out across a work-stealing thread
- * pool (`-j`, default: $CCACHE_JOBS or hardware threads), each bench
- * running as its own subprocess (posix_spawn, not system(3), so SIGINT
- * and SIGTERM reach ccbench itself) with
+ * Each selected bench is one unit of work. ccbench fans the units out
+ * across a work-stealing thread pool (`-j`, default: $CCACHE_JOBS or
+ * hardware threads), each bench running as its own subprocess — this
+ * binary again, `/proc/self/exe --run NAME`, started with posix_spawn
+ * (not system(3), so SIGINT and SIGTERM reach ccbench itself) — with
  *
  *   - CCACHE_RESULTS_DIR pointing at the shared results directory, so
  *     every bench writes `results/<bench>.json` exactly as a serial
- *     shell loop over build/bench would, and
+ *     shell loop over `ccbench --run` would, and
  *   - CCACHE_JOBS set to `--inner-jobs` (default 1), so the per-bench
  *     sweep engines don't oversubscribe the machine while ccbench is
  *     already using every core across benches. `-j1 --inner-jobs N`
  *     inverts that: benches serial, each sweep parallel — both modes
  *     must produce byte-identical result files (DESIGN.md §8).
+ *
+ * A bench that crashes takes down only its own process, and its
+ * process-wide counters (the perf section's cc_block_ops) count that
+ * bench alone.
  *
  * Each bench's stdout/stderr is captured to `results/<bench>.log`.
  * After the barrier, every result file with a matching file in the
@@ -51,7 +59,8 @@
  *
  * Exit status: 0 all benches ran and no metric drifted, 1 when a bench
  * failed or a metric drifted, 2 on usage or I/O errors, 130 when
- * interrupted.
+ * interrupted. `--run NAME` exits with the bench's own status, or 2
+ * when no bench has that name.
  */
 
 #include <algorithm>
@@ -62,10 +71,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <cerrno>
@@ -81,7 +91,130 @@
 
 extern char **environ;
 
+// Entry points of the benches (bench/<name>.cc), one per namespace.
+namespace bench::ablation_ecc { int run(int, char **); }
+namespace bench::ablation_fault { int run(int, char **); }
+namespace bench::ablation_locality { int run(int, char **); }
+namespace bench::ablation_multicore { int run(int, char **); }
+namespace bench::ablation_power_cap { int run(int, char **); }
+namespace bench::ablation_subarray { int run(int, char **); }
+namespace bench::ablation_tagdata { int run(int, char **); }
+namespace bench::fig10_checkpoint_overhead { int run(int, char **); }
+namespace bench::fig11_checkpoint_energy { int run(int, char **); }
+namespace bench::fig3_energy_proportions { int run(int, char **); }
+namespace bench::fig7_microbench { int run(int, char **); }
+namespace bench::fig8_cache_levels { int run(int, char **); }
+namespace bench::fig8_inplace_vs_nearplace { int run(int, char **); }
+namespace bench::fig9_applications { int run(int, char **); }
+namespace bench::neural_gemm { int run(int, char **); }
+namespace bench::sampled_trace { int run(int, char **); }
+namespace bench::serve_failover { int run(int, char **); }
+namespace bench::serve_fleet { int run(int, char **); }
+namespace bench::serve_scheduler { int run(int, char **); }
+namespace bench::table1_cache_energy { int run(int, char **); }
+namespace bench::table3_operand_locality { int run(int, char **); }
+namespace bench::table4_simulator_params { int run(int, char **); }
+namespace bench::table5_cc_op_energy { int run(int, char **); }
+
 namespace {
+
+/** One bench of the catalog. */
+struct Bench
+{
+    const char *name;
+    const char *description;   ///< the `--list` column
+    int (*run)(int argc, char **argv);
+};
+
+/** Every bench, sorted by name: the catalog ccbench runs and lists. */
+constexpr Bench kCatalog[] = {
+    {"ablation_ecc",
+     "Section IV-I: XOR-check unit vs scrubbing ECC ablation",
+     bench::ablation_ecc::run},
+    {"ablation_fault",
+     "Fault-injection ladder: rate vs slowdown/energy/corruption",
+     bench::ablation_fault::run},
+    {"ablation_locality",
+     "Section IV-C: operand-misalignment sensitivity sweep",
+     bench::ablation_locality::run},
+    {"ablation_multicore",
+     "Multi-core CC scaling over NUCA slices",
+     bench::ablation_multicore::run},
+    {"ablation_power_cap",
+     "Section IV-D: active-sub-array power cap sweep",
+     bench::ablation_power_cap::run},
+    {"ablation_subarray",
+     "Section II-B: multi-row activation robustness sweep",
+     bench::ablation_subarray::run},
+    {"ablation_tagdata",
+     "Section IV-C: serial vs parallel tag-data access",
+     bench::ablation_tagdata::run},
+    {"fig10_checkpoint_overhead",
+     "Figure 10: checkpointing performance overhead",
+     bench::fig10_checkpoint_overhead::run},
+    {"fig11_checkpoint_energy",
+     "Figure 11: checkpointing total energy",
+     bench::fig11_checkpoint_energy::run},
+    {"fig3_energy_proportions",
+     "Figure 3: instruction-processing vs data-movement energy",
+     bench::fig3_energy_proportions::run},
+    {"fig7_microbench",
+     "Figure 7: throughput + energy of the four CC kernels",
+     bench::fig7_microbench::run},
+    {"fig8_cache_levels",
+     "Figure 8b: CC savings with operands at L1/L2/L3",
+     bench::fig8_cache_levels::run},
+    {"fig8_inplace_vs_nearplace",
+     "Figure 8a: in-place vs near-place energy & throughput",
+     bench::fig8_inplace_vs_nearplace::run},
+    {"fig9_applications",
+     "Figure 9: application speedup & energy (BMM, WordCount, ...)",
+     bench::fig9_applications::run},
+    {"neural_gemm",
+     "Bit-serial int8 GEMM (Neural Cache MACs) vs scalar/SIMD",
+     bench::neural_gemm::run},
+    {"sampled_trace",
+     "Sampled trace frontend: phase clustering vs full-run golden",
+     bench::sampled_trace::run},
+    {"serve_failover",
+     "Sharded serving: availability through shard kill+recovery",
+     bench::serve_failover::run},
+    {"serve_fleet",
+     "Fleet controller: fan-out, migration, global backpressure",
+     bench::serve_fleet::run},
+    {"serve_scheduler",
+     "Multi-tenant DRR batch scheduler vs FIFO at saturation",
+     bench::serve_scheduler::run},
+    {"table1_cache_energy",
+     "Table I: per-access read energy split (H-tree vs bit-array)",
+     bench::table1_cache_energy::run},
+    {"table3_operand_locality",
+     "Table III: geometry-derived operand-locality constraint",
+     bench::table3_operand_locality::run},
+    {"table4_simulator_params",
+     "Table IV: the simulated machine, from live config",
+     bench::table4_simulator_params::run},
+    {"table5_cc_op_energy",
+     "Table V: per-block energy for every op at every level",
+     bench::table5_cc_op_energy::run},
+};
+
+static_assert(std::is_sorted(std::begin(kCatalog), std::end(kCatalog),
+                             [](const Bench &a, const Bench &b) {
+                                 return std::string_view(a.name) <
+                                     std::string_view(b.name);
+                             }),
+              "kCatalog must stay sorted by name");
+
+/** The catalog entry called @p name, or nullptr. */
+const Bench *
+findBench(std::string_view name)
+{
+    for (const Bench &b : kCatalog)
+        if (name == b.name)
+            return &b;
+    return nullptr;
+}
 
 namespace fs = std::filesystem;
 
@@ -98,7 +231,6 @@ struct Options
 {
     unsigned jobs = ccache::ThreadPool::defaultWorkers();
     unsigned innerJobs = 1;
-    std::string binDir;
     std::string resultsDir;
     std::string baselineDir = "ci/baseline";
     double threshold = 0.05;
@@ -112,7 +244,7 @@ struct Options
 struct BenchRun
 {
     std::string name;
-    fs::path binary;
+    const char *description = "";
     int exitCode = -1;
     double seconds = 0.0;
     bool cached = false;    ///< satisfied from the journal (--resume)
@@ -123,26 +255,13 @@ void
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [-j N] [--inner-jobs N] [--bin-dir DIR] "
-                 "[--results DIR]\n"
-                 "       [--baseline DIR] [--threshold FRAC] [--stats] "
-                 "[--list] [--no-compare]\n"
-                 "       [--resume] [--filter REGEX] [BENCH...]\n",
-                 argv0);
-}
-
-/** Default bench directory: `../bench` relative to this binary. */
-std::string
-defaultBinDir(const char *argv0)
-{
-    std::error_code ec;
-    fs::path self = fs::canonical(argv0, ec);
-    if (!ec) {
-        fs::path sibling = self.parent_path().parent_path() / "bench";
-        if (fs::is_directory(sibling, ec))
-            return sibling.string();
-    }
-    return "build/bench";
+                 "usage: %s [-j N] [--inner-jobs N] [--results DIR] "
+                 "[--baseline DIR]\n"
+                 "       [--threshold FRAC] [--stats] [--list] "
+                 "[--no-compare] [--resume]\n"
+                 "       [--filter REGEX] [BENCH...]\n"
+                 "       %s --run NAME\n",
+                 argv0, argv0);
 }
 
 /** Results directory: $CCACHE_RESULTS_DIR or ./results. */
@@ -151,58 +270,6 @@ defaultResultsDir()
 {
     const char *env = std::getenv("CCACHE_RESULTS_DIR");
     return env && *env ? env : "results";
-}
-
-/** Every executable regular file in @p dir passing @p filter, sorted
- *  by name. */
-std::vector<BenchRun>
-discoverCatalog(const std::string &dir, const cctools::CatalogFilter &filter)
-{
-    std::vector<BenchRun> catalog;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (!entry.is_regular_file())
-            continue;
-        fs::perms p = entry.status().permissions();
-        if ((p & (fs::perms::owner_exec | fs::perms::group_exec |
-                  fs::perms::others_exec)) == fs::perms::none)
-            continue;
-        std::string name = entry.path().filename().string();
-        if (!filter.matches(name))
-            continue;
-        catalog.push_back(BenchRun{name, entry.path()});
-    }
-    if (ec)
-        std::fprintf(stderr, "ccbench: cannot read %s: %s\n",
-                     dir.c_str(), ec.message().c_str());
-    std::sort(catalog.begin(), catalog.end(),
-              [](const BenchRun &a, const BenchRun &b) {
-                  return a.name < b.name;
-              });
-    return catalog;
-}
-
-/**
- * One-line self-description of a bench: every catalog binary responds
- * to --describe by printing its registered description and exiting
- * (bench::maybeDescribe). Empty on any failure — the list then simply
- * shows a blank column for that binary.
- */
-std::string
-describeBench(const fs::path &binary)
-{
-    std::string cmd = binary.string() + " --describe 2>/dev/null";
-    FILE *p = ::popen(cmd.c_str(), "r");
-    if (!p)
-        return "";
-    char buf[256] = {};
-    std::string line;
-    if (std::fgets(buf, sizeof buf, p))
-        line.assign(buf);
-    ::pclose(p);
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-        line.pop_back();
-    return line;
 }
 
 /** Names journaled as complete in `<results>/ccbench.journal`. */
@@ -246,8 +313,11 @@ runBench(BenchRun &run, const Options &opt)
         envp.push_back(s.data());
     envp.push_back(nullptr);
 
-    std::string bin = run.binary.string();
-    char *child_argv[] = {bin.data(), nullptr};
+    // The child is this binary again, running the one bench.
+    char arg0[] = "ccbench";
+    char flag[] = "--run";
+    std::string name = run.name;
+    char *child_argv[] = {arg0, flag, name.data(), nullptr};
 
     posix_spawn_file_actions_t fa;
     posix_spawn_file_actions_init(&fa);
@@ -257,12 +327,12 @@ runBench(BenchRun &run, const Options &opt)
 
     auto start = std::chrono::steady_clock::now();
     pid_t pid = -1;
-    int rc = ::posix_spawn(&pid, bin.c_str(), &fa, nullptr, child_argv,
-                           envp.data());
+    int rc = ::posix_spawn(&pid, "/proc/self/exe", &fa, nullptr,
+                           child_argv, envp.data());
     posix_spawn_file_actions_destroy(&fa);
     if (rc != 0) {
         std::fprintf(stderr, "ccbench: cannot spawn %s: %s\n",
-                     bin.c_str(), std::strerror(rc));
+                     run.name.c_str(), std::strerror(rc));
         run.exitCode = -1;
         return;
     }
@@ -289,6 +359,21 @@ runBench(BenchRun &run, const Options &opt)
 int
 main(int argc, char **argv)
 {
+    if (argc >= 2 && !std::strcmp(argv[1], "--run")) {
+        if (argc < 3) {
+            usage(argv[0]);
+            return 2;
+        }
+        const Bench *bench = findBench(argv[2]);
+        if (!bench) {
+            std::fprintf(stderr, "ccbench: no bench named '%s' "
+                                 "(see --list)\n",
+                         argv[2]);
+            return 2;
+        }
+        return bench->run(argc - 2, argv + 2);
+    }
+
     Options opt;
     for (int i = 1; i < argc; ++i) {
         auto needArg = [&](const char *flag) -> const char * {
@@ -311,8 +396,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--inner-jobs")) {
             long n = std::atol(needArg("--inner-jobs"));
             opt.innerJobs = n >= 1 ? static_cast<unsigned>(n) : 1;
-        } else if (!std::strcmp(argv[i], "--bin-dir")) {
-            opt.binDir = needArg("--bin-dir");
         } else if (!std::strcmp(argv[i], "--results")) {
             opt.resultsDir = needArg("--results");
         } else if (!std::strcmp(argv[i], "--baseline")) {
@@ -346,26 +429,20 @@ main(int argc, char **argv)
             opt.filter.addSubstring(argv[i]);
         }
     }
-    if (opt.binDir.empty())
-        opt.binDir = defaultBinDir(argv[0]);
     if (opt.resultsDir.empty())
         opt.resultsDir = defaultResultsDir();
 
-    std::vector<BenchRun> catalog =
-        discoverCatalog(opt.binDir, opt.filter);
+    std::vector<BenchRun> catalog;
+    for (const Bench &b : kCatalog)
+        if (opt.filter.matches(b.name))
+            catalog.push_back(BenchRun{b.name, b.description});
     if (catalog.empty()) {
-        std::fprintf(stderr, "ccbench: no bench executables in %s\n",
-                     opt.binDir.c_str());
+        std::fprintf(stderr, "ccbench: no bench matches the selection\n");
         return 2;
     }
     if (opt.listOnly) {
-        for (const BenchRun &b : catalog) {
-            std::string what = describeBench(b.binary);
-            if (what.empty())
-                std::printf("%s\n", b.name.c_str());
-            else
-                std::printf("%-28s %s\n", b.name.c_str(), what.c_str());
-        }
+        for (const BenchRun &b : catalog)
+            std::printf("%-28s %s\n", b.name.c_str(), b.description);
         return 0;
     }
 
